@@ -14,7 +14,10 @@ Two kinds of numbers, checked against the committed baseline
   eager full decode).  Absolute ops/s are machine-dependent and are
   only reported; the check enforces generous **ratio floors**, which
   hold on any machine because both sides of each ratio run in the same
-  process seconds apart.
+  process seconds apart.  ``unmarshal_lazy_fanout`` (one datagram
+  unmarshalled by four receivers through a shared frame memo) is
+  reported beside ``unmarshal_lazy_top_pop`` (every unmarshal cold)
+  and gated by nothing.
 
 Run:    PYTHONPATH=src python benchmarks/bench_hotpath.py
 Check:  PYTHONPATH=src python benchmarks/bench_hotpath.py --check
@@ -31,7 +34,12 @@ import sys
 import time
 
 from repro import World
-from repro.core.headers import DEFAULT_REGISTRY, HeaderTableStore, make_channel_encoder
+from repro.core.headers import (
+    DEFAULT_REGISTRY,
+    FrameMemo,
+    HeaderTableStore,
+    make_channel_encoder,
+)
 from repro.core.message import Message
 from repro.net.address import EndpointAddress, GroupAddress
 
@@ -49,6 +57,7 @@ _GROUP = GroupAddress("bench")
 _DES_CASTS = 200
 _DES_PAYLOAD = b"\x5a" * 120
 _TIMED_OPS = 20_000
+_FANOUT = 4  # receivers of one multicast datagram (a 5-member group)
 
 
 def _example_data_message(seq: int = 42) -> Message:
@@ -122,6 +131,23 @@ def _ops_per_s(fn, ops: int = _TIMED_OPS) -> float:
     return ops / (time.perf_counter() - start)
 
 
+def _fanout_ops_per_s(data: bytes, ops: int = _TIMED_OPS) -> float:
+    """Receiver unmarshals/s when ``_FANOUT`` receivers share a memo.
+
+    Each datagram is a distinct ``bytes`` object (as each multicast is
+    on the DES), unmarshalled and top-popped by every receiver through
+    one world-style :class:`FrameMemo`.
+    """
+    registry = DEFAULT_REGISTRY
+    memo = FrameMemo()
+    datagrams = [bytes(bytearray(data)) for _ in range(ops // _FANOUT)]
+    start = time.perf_counter()
+    for datagram in datagrams:
+        for _ in range(_FANOUT):
+            registry.unmarshal(datagram, lazy=True, memo=memo).pop_header("COM")
+    return len(datagrams) * _FANOUT / (time.perf_counter() - start)
+
+
 def _timed() -> dict:
     """Same-run throughput ratios (plus absolute ops/s, report-only)."""
     message = _example_data_message()
@@ -141,6 +167,7 @@ def _timed() -> dict:
     lazy_ops = _ops_per_s(
         lambda: registry.unmarshal(data, lazy=True).pop_header("COM")
     )
+    fanout_ops = _fanout_ops_per_s(data)
 
     return {
         "ops_per_s": {
@@ -148,6 +175,8 @@ def _timed() -> dict:
             "marshal_table_steady": round(table_ops),
             "unmarshal_eager_full": round(eager_ops),
             "unmarshal_lazy_top_pop": round(lazy_ops),
+            # Report-only: no ratio floor reads it.
+            "unmarshal_lazy_fanout": round(fanout_ops),
         },
         "ratios": {
             "marshal_table_vs_aligned": round(table_ops / aligned_ops, 3),

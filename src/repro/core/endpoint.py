@@ -83,7 +83,7 @@ class Endpoint:
         group and return handle").
         """
         self._check_alive()
-        group_addr = GroupAddress(group)
+        group_addr = GroupAddress.interned(group)
         if group_addr in self._groups:
             raise EndpointError(f"{self.address} already joined {group}")
         if isinstance(stack, StackConfig):
@@ -157,11 +157,14 @@ class Endpoint:
             # Known-garbled packets (the DES fault model marks them) go
             # through the eager path so a value-level decode error still
             # surfaces — and drops the packet — right here at the demux,
-            # exactly as before laziness existed.
+            # exactly as before laziness existed.  The world's frame
+            # memo lets every receiver of one multicast payload share a
+            # single scan and decode.
             message = world.registry.unmarshal(
                 packet.payload,
                 lazy=not packet.garbled,
                 tables=self._header_tables,
+                memo=world.frame_memo,
             )
         except HeaderError:
             # Garbled beyond parsing; without a checksum layer this is

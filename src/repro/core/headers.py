@@ -27,7 +27,9 @@ modes (everything but ``packed``) :meth:`HeaderRegistry.unmarshal` can
 validate the datagram's structure once and push lazy ``(codec, offset,
 length)`` windows onto the message, decoding a header only when its
 owning layer pops or peeks it and sharing the body as a ``memoryview``
-slice instead of a copied ``bytes``.
+slice instead of a copied ``bytes``.  A world's :class:`FrameMemo` goes
+one step further: every receiver of one multicast datagram shares that
+scan and those windows, so each header decodes once per fan-out.
 """
 
 from __future__ import annotations
@@ -1174,12 +1176,20 @@ class _LazyHeader:
     """A deferred header: a (codec, offset, length) window into a datagram.
 
     :meth:`Message.pop_header` / ``peek_header`` call
-    :meth:`materialize` on first access; decoding is a pure function of
-    the immutable datagram bytes, so thunks may be shared by message
-    copies.
+    :meth:`materialize` on first access.  The first call decodes (a pure
+    function of the immutable datagram bytes) and caches the dict; every
+    call, the first included, returns a fresh shallow copy of it.  One
+    thunk can therefore be shared by message copies and, through a
+    :class:`FrameMemo`, by every receiver of a multicast datagram: each
+    header span decodes once, and each popper owns its top-level dict.
+
+    Nested values (``ListOf`` lists, ``MapOf`` dicts) are shared by
+    those copies and are read-only: layers copy them before keeping or
+    changing them (``dict(header["vector"])``, ``tuple(members)``).
+    Addresses are immutable and interned.
     """
 
-    __slots__ = ("codec", "data", "offset", "length", "table")
+    __slots__ = ("codec", "data", "offset", "length", "table", "_header")
 
     def __init__(
         self,
@@ -1194,12 +1204,75 @@ class _LazyHeader:
         self.offset = offset
         self.length = length
         self.table = table
+        self._header: Optional[Header] = None
 
     def materialize(self) -> Header:
-        blob = bytes(self.data[self.offset : self.offset + self.length])
-        if self.table is not None:
-            return self.table.decode_row(self.codec, blob)
-        return self.codec.decode(blob)
+        header = self._header
+        if header is None:
+            blob = bytes(self.data[self.offset : self.offset + self.length])
+            if self.table is not None:
+                header = self.table.decode_row(self.codec, blob)
+            else:
+                header = self.codec.decode(blob)
+            self._header = header
+        return dict(header)
+
+
+#: One memoized datagram: the payload itself, its lazy header entries
+#: (bottom of stack first) and its body view (``None`` when empty).
+_Frame = Tuple[bytes, List[Tuple[str, _LazyHeader]], Optional[memoryview]]
+
+
+class FrameMemo:
+    """Decode-once memo for a datagram fanned out to several receivers.
+
+    The DES software multicast hands the *same* immutable ``bytes``
+    object to every receiver.  Keyed by that object's identity (each
+    entry holds a strong reference, so an id cannot be reused while its
+    entry lives), the memo keeps the structural scan of a framed
+    datagram: its lazy header thunks and its body view.  The second and
+    later receivers skip the scan and share the thunks, so each header
+    span decodes at most once per datagram.
+
+    Bounded to :attr:`SIZE` entries, oldest out first; the receivers of
+    one fan-out unmarshal it within a few milliseconds of virtual time,
+    far inside that window.  A miss only costs a fresh scan.
+    """
+
+    SIZE = 64
+
+    __slots__ = ("_frames", "hits", "frames")
+
+    def __init__(self) -> None:
+        self._frames: Dict[int, _Frame] = {}
+        #: Unmarshals answered from the memo.
+        self.hits = 0
+        #: Datagrams scanned and entered into the memo.
+        self.frames = 0
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+    def get(self, data: bytes) -> Optional[_Frame]:
+        """The memoized frame of this very ``data`` object, if any."""
+        frame = self._frames.get(id(data))
+        if frame is not None and frame[0] is data:
+            self.hits += 1
+            return frame
+        return None
+
+    def put(
+        self,
+        data: bytes,
+        headers: List[Tuple[str, _LazyHeader]],
+        body: Optional[memoryview],
+    ) -> None:
+        """Remember the scan of ``data``, evicting the oldest entry if full."""
+        frames = self._frames
+        if len(frames) >= self.SIZE:
+            del frames[next(iter(frames))]
+        frames[id(data)] = (data, headers, body)
+        self.frames += 1
 
 
 # ----------------------------------------------------------------------
@@ -1359,6 +1432,7 @@ class HeaderRegistry:
         data: bytes,
         lazy: bool = False,
         tables: Optional[HeaderTableStore] = None,
+        memo: Optional[FrameMemo] = None,
     ) -> Message:
         """Rebuild a :class:`Message` from wire bytes.
 
@@ -1380,7 +1454,20 @@ class HeaderRegistry:
         mode; without it each datagram gets a throwaway store (only
         self-contained datagrams — ones installing everything they
         reference — decode).
+
+        ``memo`` (lazy decode only) lets every receiver of one datagram
+        object share a single structural scan and one set of header
+        thunks.  ``table`` datagrams never enter it: their preamble must
+        update each receiver's own tables.
         """
+        frame = memo.get(data) if memo is not None and lazy else None
+        if frame is not None:
+            _, entries, body = frame
+            message = Message()
+            message.push_lazy_headers(entries)
+            if body is not None:
+                message.add_segment(body)
+            return message
         try:
             magic, mode_byte, n_headers = struct.unpack_from(">HBB", data, 0)
         except struct.error as exc:
@@ -1426,11 +1513,16 @@ class HeaderRegistry:
         except Exception as exc:
             raise HeaderError(f"corrupt packet: {exc}") from exc
         if lazy:
-            push_lazy = message.push_lazy_header
-            for codec, start, length in spans:
-                push_lazy(codec.layer, _LazyHeader(codec, data, start, length, table))
-            if body_len:
-                message.add_segment(memoryview(data)[offset : offset + body_len])
+            entries = [
+                (codec.layer, _LazyHeader(codec, data, start, length, table))
+                for codec, start, length in spans
+            ]
+            message.push_lazy_headers(entries)
+            body = memoryview(data)[offset : offset + body_len] if body_len else None
+            if body is not None:
+                message.add_segment(body)
+            if memo is not None and table is None:
+                memo.put(data, entries, body)
         else:
             push = message.push_owned_header
             for codec, start, length in spans:
@@ -1517,12 +1609,22 @@ def canonical_content(registry: HeaderRegistry, message: Message) -> bytes:
     ``"A"`` + ``"BC"`` when the encoded headers lined up), which an
     attacker — or plain bad luck — could use to swap headers without
     moving the checksum.  The prefix makes the framing injective.
+
+    A header still lazy in a received framed datagram contributes its
+    wire span as is: the sender wrote that span with the same codec's
+    :meth:`~HeaderCodec.encode`, so it is exactly the re-encoding of
+    the dict it decodes to, and the receiver need not decode it here.
     """
     out = bytearray()
-    for owner, header in message.headers():
+    for owner, header in message.header_entries():
         name = owner.encode("utf-8")
         out += struct.pack(">H", len(name))
         out += name
+        if type(header) is _LazyHeader and header.table is None:
+            out += header.data[header.offset : header.offset + header.length]
+            continue
+        if type(header) is not dict:
+            header = header.materialize()
         out += registry.codec_for(owner).encode(header)
     out += message.body_bytes()
     return bytes(out)

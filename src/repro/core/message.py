@@ -23,8 +23,11 @@ Received messages may additionally carry **lazy headers**: the wire
 unmarshaller pushes placeholder entries that hold a ``(codec, offset,
 length)`` window into the datagram instead of a decoded dict, and the
 dict is materialized only when the owning layer pops or peeks it (see
-:meth:`Message.push_lazy_header`).  Layers never observe the
-difference — every accessor materializes on demand.
+:meth:`Message.push_lazy_headers`).  Layers never observe the
+difference — every accessor materializes on demand, and every
+materialization hands out a top-level dict of its own, even when the
+placeholder is shared with other copies or other receivers of the same
+datagram.
 """
 
 from __future__ import annotations
@@ -69,15 +72,17 @@ class Message:
         """
         self._headers.append((layer, header))
 
-    def push_lazy_header(self, layer: str, entry: Any) -> None:
-        """Push a deferred header owned by ``layer``.
+    def push_lazy_headers(self, entries: List[Tuple[str, Any]]) -> None:
+        """Push deferred ``(layer, entry)`` headers, bottom of stack first.
 
-        ``entry`` is anything with a ``materialize()`` method returning
-        the header dict (and raising ``HeaderError`` on corrupt bytes).
-        Used by the wire unmarshaller so a received message decodes a
-        header only when its owning layer actually pops or peeks it.
+        Each ``entry`` is anything with a ``materialize()`` method
+        returning the header dict (and raising ``HeaderError`` on corrupt
+        bytes).  Used by the wire unmarshaller so a received message
+        decodes a header only when its owning layer actually pops or
+        peeks it.  The list is copied, not adopted, so the unmarshaller
+        can hand one list of entries to every receiver of a datagram.
         """
-        self._headers.append((layer, entry))
+        self._headers.extend(entries)
 
     def pop_header(self, layer: str) -> Header:
         """Pop the top header, which must belong to ``layer``.
@@ -140,6 +145,15 @@ class Message:
                 entries[i] = (owner, h)
             out.append((owner, dict(h)))
         return out
+
+    def header_entries(self) -> List[Tuple[str, Any]]:
+        """The header stack as stored, bottom-first: no decode, no copy.
+
+        Entries are header dicts or still-lazy placeholders (see
+        :meth:`push_lazy_headers`).  For wire-level readers such as the
+        integrity layers' content encoding; callers must not mutate it.
+        """
+        return self._headers
 
     def iter_headers(self) -> List[Tuple[str, Header]]:
         """The header stack, bottom-first, materialized but NOT copied.
@@ -214,11 +228,13 @@ class Message:
     # ------------------------------------------------------------------
 
     def copy(self) -> "Message":
-        """Deep-copy headers, share body segments (bytes are immutable).
+        """Copy each header dict, share body segments (bytes are immutable).
 
-        Lazy entries are shared, not materialized: each copy decodes its
-        own dict on first access (decoding is a pure function of the
-        immutable datagram bytes, so sharing the thunk is safe).
+        The copy is shallow per header: nested header values (lists,
+        maps) are shared and read-only by convention.  Lazy entries are
+        shared, not materialized: the thunk decodes once, on the first
+        access by any sharer, and hands each caller its own shallow copy
+        of the dict.
         """
         clone = Message()
         clone._headers = [

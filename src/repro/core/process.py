@@ -16,7 +16,7 @@ import warnings
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.core.endpoint import Endpoint
-from repro.core.headers import DEFAULT_REGISTRY, HeaderRegistry, WIRE_MODES
+from repro.core.headers import DEFAULT_REGISTRY, FrameMemo, HeaderRegistry, WIRE_MODES
 from repro.errors import ConfigurationError, SimulationError
 from repro.membership.directory import GroupDirectory
 from repro.net.address import EndpointAddress
@@ -117,7 +117,7 @@ class Process:
         """Create a new endpoint on this process (ports auto-assigned)."""
         if not self.alive:
             raise SimulationError(f"process {self.name} has crashed")
-        address = EndpointAddress(node=self.name, port=self._next_port)
+        address = EndpointAddress.interned(self.name, self._next_port)
         self._next_port += 1
         endpoint = Endpoint(self, address)
         self._endpoints.append(endpoint)
@@ -221,6 +221,9 @@ class World:
         self.trace = TraceRecorder(enabled=trace)
         self.directory = GroupDirectory()
         self.registry = registry or DEFAULT_REGISTRY
+        #: Decode-once memo: the software multicast hands one payload
+        #: object to every receiver, so they share one header scan.
+        self.frame_memo = FrameMemo()
         #: The world's shared metrics registry: network counters always,
         #: per-layer seam counters when ``obs`` enables them.
         self.metrics = metrics if metrics is not None else MetricsRegistry()

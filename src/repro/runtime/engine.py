@@ -29,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.runtime.clock import Clock, EventHandle
 
@@ -47,7 +47,8 @@ class RealtimeEngine(Clock):
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
         self._loop = loop or asyncio.new_event_loop()
         self._epoch = self._loop.time()
-        self._heap: List[EventHandle] = []
+        #: ``(time, seq, handle)`` tuples, ordered by tuple comparison.
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._pump_handle: Optional[asyncio.TimerHandle] = None
         self._armed_for: Optional[tuple] = None
@@ -68,8 +69,10 @@ class RealtimeEngine(Clock):
 
     def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at engine time ``when`` (past ⇒ ASAP)."""
-        handle = EventHandle(max(when, self.now), next(self._seq), fn, args)
-        heapq.heappush(self._heap, handle)
+        when = max(when, self.now)
+        seq = next(self._seq)
+        handle = EventHandle(when, seq, fn, args)
+        heapq.heappush(self._heap, (when, seq, handle))
         self._rearm()
         return handle
 
@@ -83,7 +86,7 @@ class RealtimeEngine(Clock):
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for h in self._heap if not h.cancelled)
+        return sum(1 for _, _, h in self._heap if not h.cancelled)
 
     # ------------------------------------------------------------------
     # Driving the loop
@@ -169,11 +172,13 @@ class RealtimeEngine(Clock):
     # ------------------------------------------------------------------
 
     def _peek(self) -> Optional[EventHandle]:
-        while self._heap:
-            if self._heap[0].cancelled:
-                heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            handle = heap[0][2]
+            if handle.cancelled:
+                heapq.heappop(heap)
                 continue
-            return self._heap[0]
+            return handle
         return None
 
     def _rearm(self) -> None:

@@ -76,6 +76,8 @@ class RealtimeWorld:
         self.trace = TraceRecorder(enabled=trace)
         self.directory = GroupDirectory()
         self.registry = registry or DEFAULT_REGISTRY
+        #: No decode-once memo: every UDP datagram is a fresh object.
+        self.frame_memo = None
         self.wire_mode = wire_mode
         #: Same observability surface as the DES world: one shared
         #: registry, wall-clock-timestamped spans when enabled.

@@ -11,7 +11,9 @@ The ISSUE 7 test surface:
   path at odd offsets;
 * the ``canonical_content`` framing-collision regression;
 * batch-frame coalescing: round-trip, rejected-whole corruption, and
-  the Clock-driven flush budget.
+  the Clock-driven flush budget;
+* decode once per fan-out: the world's frame memo, shared caching
+  thunks, and interned addresses.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from repro.core.headers import (
     WIRE_MODES,
     BitReader,
     BitWriter,
+    FrameMemo,
+    HeaderCodec,
     HeaderRegistry,
     HeaderTableStore,
     canonical_content,
@@ -34,6 +38,7 @@ from repro.core.headers import (
 )
 from repro.core.message import Message
 from repro.errors import HeaderError
+from repro.net import address as address_module
 from repro.net.address import EndpointAddress, GroupAddress
 from repro.net.coalesce import Coalescer, decode_batch
 from repro.net.packet import Packet
@@ -336,6 +341,28 @@ class TestCanonicalContentFraming:
         content = canonical_content(registry, msg)
         assert content == struct.pack(">H", 2) + b"XY" + b"tail"
 
+    @pytest.mark.parametrize("mode", WIRE_MODES)
+    def test_lazy_spans_cover_the_same_bytes(self, mode):
+        msg = Message(b"covered body")
+        for i, layer in enumerate(registered_layers()):
+            msg.push_header(layer, full_header(
+                DEFAULT_REGISTRY.codec_for(layer), salt=i))
+        expected = canonical_content(DEFAULT_REGISTRY, msg)
+        data = marshal_mode(DEFAULT_REGISTRY, msg, mode)
+        for lazy in (False, True):
+            got = unmarshal_mode(DEFAULT_REGISTRY, data, mode, lazy=lazy)
+            assert canonical_content(DEFAULT_REGISTRY, got) == expected
+
+    def test_lazy_framed_spans_are_not_decoded(self, monkeypatch):
+        data = build_sample("aligned")
+        message = DEFAULT_REGISTRY.unmarshal(data, lazy=True)
+
+        def no_decode(codec, blob):
+            raise AssertionError("canonical_content decoded a lazy span")
+
+        monkeypatch.setattr(HeaderCodec, "decode", no_decode)
+        canonical_content(DEFAULT_REGISTRY, message)
+
 
 class _StubClock:
     """Captures call_after so tests fire flush timers by hand."""
@@ -497,3 +524,209 @@ class TestCoalescedWorld:
         # Same delivered messages, strictly fewer datagrams on the wire.
         assert (batched.network.inner.stats.packets_sent
                 < plain.network.stats.packets_sent)
+
+
+class TestDecodeOncePerFanOut:
+    """The receive path decodes each datagram once, not once per receiver."""
+
+    STACK = "TOTAL:MBRSHIP:FRAG:NAK:COM"
+
+    @staticmethod
+    def count_work(monkeypatch):
+        """Count header decodes and the header spans marshalled."""
+        counts = {"decodes": 0, "spans": 0}
+        decode = HeaderCodec.decode
+        marshal = HeaderRegistry.marshal
+
+        def counting_decode(codec, data):
+            counts["decodes"] += 1
+            return decode(codec, data)
+
+        def counting_marshal(registry, message, *args, **kwargs):
+            counts["spans"] += message.header_depth
+            return marshal(registry, message, *args, **kwargs)
+
+        monkeypatch.setattr(HeaderCodec, "decode", counting_decode)
+        monkeypatch.setattr(HeaderRegistry, "marshal", counting_marshal)
+        return counts
+
+    def run_group(self, monkeypatch, memo: bool):
+        from repro.core.process import World
+
+        world = World(seed=5, network="atm", trace=False)
+        if not memo:
+            world.frame_memo = None
+        names = ["a", "b", "c", "d", "e"]
+        handles = {}
+        for name in names:
+            handles[name] = world.process(name).endpoint().join(
+                "grp", stack=self.STACK
+            )
+            world.run(0.3)
+        world.run(2.0)
+        assert all(h.view is not None and h.view.size == 5
+                   for h in handles.values())
+        counts = self.count_work(monkeypatch)
+        for i in range(20):
+            handles[names[i % 5]].cast(b"m%02d" % i)
+        world.run(1.0)
+        monkeypatch.undo()
+        for handle in handles.values():
+            assert len(handle.delivery_log) == 20
+        return world, handles, counts
+
+    def test_multicast_decodes_each_header_span_once(self, monkeypatch):
+        world, _, counts = self.run_group(monkeypatch, memo=True)
+        # Every span marshalled reaches four receivers, yet is decoded
+        # at most once across all of them.
+        assert 0 < counts["decodes"] <= counts["spans"]
+        assert world.frame_memo.hits > world.frame_memo.frames > 0
+
+    def test_without_memo_each_receiver_decodes(self, monkeypatch):
+        _, _, counts = self.run_group(monkeypatch, memo=False)
+        assert counts["decodes"] > 2 * counts["spans"]
+
+    def test_view_members_are_the_local_addresses(self, monkeypatch):
+        world, handles, _ = self.run_group(monkeypatch, memo=True)
+        local = {
+            name: world.process(name).endpoints[0].address for name in handles
+        }
+        for handle in handles.values():
+            for member in handle.view.members:
+                assert member is local[member.node]
+
+    @staticmethod
+    def fanout_datagram() -> bytes:
+        message = Message(b"body" * 8)
+        message.push_header("MBRSHIP", {
+            "kind": 0, "vid": 3, "seq": 9, "origin": SRC,
+            "members": [SRC, EndpointAddress("bob", 0)],
+            "vector": {SRC: 4},
+        })
+        message.push_header("COM", {"group": GRP, "source": SRC, "kind": 0})
+        return DEFAULT_REGISTRY.marshal(message, "aligned")
+
+    def test_receivers_get_distinct_top_level_dicts(self):
+        data = self.fanout_datagram()
+        memo = FrameMemo()
+        received = [
+            DEFAULT_REGISTRY.unmarshal(data, lazy=True, memo=memo)
+            for _ in range(4)
+        ]
+        assert memo.frames == 1 and memo.hits == 3
+        first = received[0].pop_header("COM")
+        first["kind"] = 99
+        first["extra"] = True
+        rest = [m.pop_header("COM") for m in received[1:]]
+        for header in rest:
+            assert header == {"group": GRP, "source": SRC, "kind": 0}
+            assert header is not first
+        assert rest[0] is not rest[1]
+        tops = [m.pop_header("MBRSHIP") for m in received]
+        assert all(t == tops[0] for t in tops)
+        assert len({id(t) for t in tops}) == 4
+        for message in received:
+            assert message.body_bytes() == b"body" * 8
+
+    def test_memo_needs_the_same_payload_object(self):
+        data = self.fanout_datagram()
+        memo = FrameMemo()
+        DEFAULT_REGISTRY.unmarshal(data, lazy=True, memo=memo)
+        twin = bytes(bytearray(data))
+        assert twin == data and twin is not data
+        DEFAULT_REGISTRY.unmarshal(twin, lazy=True, memo=memo)
+        assert memo.hits == 0 and memo.frames == 2
+
+    def test_eager_decode_bypasses_the_memo(self):
+        data = self.fanout_datagram()
+        memo = FrameMemo()
+        DEFAULT_REGISTRY.unmarshal(data, lazy=True, memo=memo)
+        eager = DEFAULT_REGISTRY.unmarshal(data, lazy=False, memo=memo)
+        assert memo.hits == 0 and memo.frames == 1
+        assert all(type(h) is dict for _, h in eager._headers)
+
+    def test_garbled_delivery_takes_the_eager_path(self):
+        from repro.core.process import World
+
+        world = World(seed=1, network="atm", trace=False)
+        endpoint = world.process("a").endpoint()
+        endpoint.join("grp", stack="COM")
+        data = self.fanout_datagram()
+        for _ in range(2):
+            endpoint._on_packet(Packet(
+                source=SRC, dest=endpoint.address, payload=data,
+                sent_at=0.0, garbled=True,
+            ))
+        assert world.frame_memo.frames == 0 and world.frame_memo.hits == 0
+        endpoint._on_packet(Packet(
+            source=SRC, dest=endpoint.address, payload=data, sent_at=0.0,
+        ))
+        assert world.frame_memo.frames == 1
+
+    def test_table_datagrams_bypass_the_memo(self):
+        channel = make_channel_encoder(SRC, GRP, epoch=1)
+        memo = FrameMemo()
+        receivers = [HeaderTableStore(), HeaderTableStore()]
+        for seq in range(42, 46):
+            message = Message(b"x")
+            message.push_header("NAK", {"kind": 0, "era": 1, "seq": seq})
+            message.push_header("COM", {"group": GRP, "source": SRC, "kind": 0})
+            data = DEFAULT_REGISTRY.marshal(message, "table", channel=channel)
+            for tables in receivers:
+                got = DEFAULT_REGISTRY.unmarshal(
+                    data, lazy=True, tables=tables, memo=memo
+                )
+                assert got.pop_header("COM")["source"] == SRC
+                assert got.pop_header("NAK")["seq"] == seq
+        assert len(memo) == 0 and memo.hits == 0
+        # Each receiver applied the first datagram's installs itself.
+        first, second = (
+            next(iter(tables._channels.values())) for tables in receivers
+        )
+        assert first.entries and first.entries == second.entries
+        assert first is not second
+
+    def test_decoded_addresses_are_interned(self):
+        raw = EndpointAddress("intern-node", 7).marshal()
+        decoded = EndpointAddress.unmarshal(raw)
+        assert EndpointAddress.unmarshal(bytes(bytearray(raw))) is decoded
+        assert EndpointAddress.unmarshal(memoryview(raw)) is decoded
+        local = EndpointAddress("intern-node", 7)
+        assert decoded == local and hash(decoded) == hash(local)
+        assert EndpointAddress.interned("intern-node", 7) is decoded
+        group = GroupAddress.unmarshal(b"intern-group")
+        assert GroupAddress.unmarshal(b"intern-group") is group
+        assert group == GroupAddress("intern-group")
+        assert hash(group) == hash(GroupAddress("intern-group"))
+        assert GroupAddress.interned("intern-group") is group
+
+    def test_header_decode_returns_interned_addresses(self):
+        data = self.fanout_datagram()
+        one = DEFAULT_REGISTRY.unmarshal(data, lazy=True).pop_header("COM")
+        two = DEFAULT_REGISTRY.unmarshal(data).pop_header("COM")
+        assert one["source"] is two["source"]
+        assert one["group"] is two["group"]
+
+    def test_memo_is_bounded(self):
+        memo = FrameMemo()
+        datagrams = [
+            DEFAULT_REGISTRY.marshal(Message(b"%d" % i), "aligned")
+            for i in range(FrameMemo.SIZE + 10)
+        ]
+        for data in datagrams:
+            DEFAULT_REGISTRY.unmarshal(data, lazy=True, memo=memo)
+        assert len(memo) == FrameMemo.SIZE
+        # The oldest entries were evicted, the newest are still hits.
+        DEFAULT_REGISTRY.unmarshal(datagrams[0], lazy=True, memo=memo)
+        DEFAULT_REGISTRY.unmarshal(datagrams[-1], lazy=True, memo=memo)
+        assert memo.hits == 1
+
+    def test_intern_tables_are_bounded(self):
+        limit = address_module.INTERN_LIMIT
+        for i in range(limit + 10):
+            EndpointAddress.unmarshal(b"bound-%d:0" % i)
+            GroupAddress.unmarshal(b"bound-%d" % i)
+        assert 0 < len(address_module._ENDPOINTS) <= limit
+        assert 0 < len(address_module._GROUPS) <= limit
+        again = EndpointAddress.unmarshal(b"bound-0:0")
+        assert again == EndpointAddress("bound-0", 0)
